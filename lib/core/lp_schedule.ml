@@ -95,8 +95,14 @@ module Make (F : Mwct_field.Field.S) = struct
       in
       Some (objective, { instance = inst; order = Array.copy pi; finish; columns })
 
+  (* An incumbent objective [b] survives a challenger [obj] unless
+     [obj] is better by more than the field's tolerance — ulp noise in
+     the float LP must not let a later, exactly-tied order win. *)
+  let keeps_incumbent b obj = F.leq_approx b obj
+
   (** Exact global optimum by enumerating all completion orders.
-      Exponential: guarded to [n <= max_tasks] (default 8). *)
+      Exponential: guarded to [n <= max_tasks] (default 8). Ties within
+      [F.leq_approx]'s tolerance go to the earliest order enumerated. *)
   let optimal ?(max_tasks = 8) (inst : instance) : F.t * column_schedule =
     let n = I.num_tasks inst in
     if n = 0 then invalid_arg "Lp_schedule.optimal: empty instance";
@@ -109,7 +115,7 @@ module Make (F : Mwct_field.Field.S) = struct
           | None -> best
           | Some (obj, sched) -> (
             match best with
-            | Some (b, _) when F.compare b obj <= 0 -> best
+            | Some (b, _) when keeps_incumbent b obj -> best
             | _ -> Some (obj, sched)))
         None
     in
@@ -129,7 +135,7 @@ module Make (F : Mwct_field.Field.S) = struct
         (fun best sigma ->
           let obj = G.objective inst sigma in
           match best with
-          | Some (b, _) when F.compare b obj <= 0 -> best
+          | Some (b, _) when keeps_incumbent b obj -> best
           | _ -> Some (obj, Array.copy sigma))
         None
     in

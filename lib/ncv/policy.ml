@@ -213,10 +213,22 @@ module Make (F : Mwct_field.Field.S) = struct
       end
 
     (* The frontier order: strict total (ids are unique while alive),
-       exactly {!frontier_shares}'s comparator. *)
-    let cmp st a b =
+       exactly {!frontier_shares}'s comparator. On the float field the
+       same comparison runs unboxed ([F.compare] is [Float.compare]). *)
+    let cmp_generic st a b =
       let c = F.compare (F.mul st.d.(a) st.w.(b)) (F.mul st.d.(b) st.w.(a)) in
       if c <> 0 then c else Stdlib.compare st.ids.(a) st.ids.(b)
+
+    let cmp_float : (state -> int -> int -> int) option =
+      match F.witness with
+      | Mwct_field.Field.Any -> None
+      | Mwct_field.Field.Float ->
+        Some
+          (fun st a b ->
+            let c = Float.compare (st.d.(a) *. st.w.(b)) (st.d.(b) *. st.w.(a)) in
+            if c <> 0 then c else Stdlib.compare st.ids.(a) st.ids.(b))
+
+    let cmp st a b = match cmp_float with Some f -> f st a b | None -> cmp_generic st a b
 
     let add st ~slot ~id ~weight ~cap =
       ensure st slot;
@@ -252,8 +264,8 @@ module Make (F : Mwct_field.Field.S) = struct
        indexed) and [order] (output order — clipped round 1 in id
        order, then clipped round 2 in id order, then the frontier pool
        in ratio order), exactly the list the adaptive kernel returns. *)
-    let shares_into st ~capacity ~n ~(by_id : int array) ~(share : F.t array) ~(order : int array)
-        =
+    let generic_shares_into st ~capacity ~n ~(by_id : int array) ~(share : F.t array)
+        ~(order : int array) =
       if n > 0 then begin
         let w0 = ref F.zero in
         for i = 0 to n - 1 do
@@ -383,6 +395,146 @@ module Make (F : Mwct_field.Field.S) = struct
           end
         end
       end
+
+    (* Monomorphic replica of {!generic_shares_into} for [F.t = float],
+       recovered through the field witness (as the engine's advance
+       kernel is, DESIGN.md §12). Every column is then a flat float
+       array and every intermediate an unboxed float, so a reshare
+       allocates nothing; without flambda the generic kernel boxes each
+       [F.mul]/[F.compare] operand and each column read.
+
+       The arithmetic is the generic kernel's term for term: the same
+       predicates ([F.compare] is [Float.compare], [F.sign x > 0] is
+       [x > 0.]), the same id-order folds, the same prefix sums and
+       binary-searched frontier, [(w·r)/W] never reassociated. Sweeps
+       are fused only where the fold order is unchanged: round 1
+       accumulates the residual [r1]/[w1] while it classifies, round 2
+       accumulates [r2]/[w2] while it emits the round-1 clips, and the
+       residual pool's prefix sums are taken as it is gathered. The
+       frontier test is written inline — a [sat_ok] closure would box
+       the floats it captures. The differential tests pin this kernel
+       against the generic one bit for bit. *)
+    let float_shares_into :
+        (state -> F.t -> int -> int array -> F.t array -> int array -> unit) option =
+      match F.witness with
+      | Mwct_field.Field.Any -> None
+      | Mwct_field.Field.Float ->
+        Some
+          (fun st capacity n by_id share order ->
+            if n > 0 then begin
+              let w = st.w and d = st.d and status = st.status in
+              let w0 = ref 0. in
+              for i = 0 to n - 1 do
+                w0 := !w0 +. w.(by_id.(i))
+              done;
+              let w0 = !w0 in
+              (* round 1: who clips at the fair share r0/w0? *)
+              let nv1 = ref 0 and r1 = ref capacity and w1 = ref w0 in
+              for i = 0 to n - 1 do
+                let s = by_id.(i) in
+                if Float.compare (d.(s) *. w0) (w.(s) *. capacity) < 0 then begin
+                  status.(s) <- 1;
+                  incr nv1;
+                  r1 := !r1 -. d.(s);
+                  w1 := !w1 -. w.(s)
+                end
+                else status.(s) <- 0
+              done;
+              if !nv1 = 0 then begin
+                let pos = w0 > 0. in
+                for i = 0 to n - 1 do
+                  let s = by_id.(i) in
+                  order.(i) <- s;
+                  share.(s) <- (if pos then w.(s) *. capacity /. w0 else 0.)
+                done
+              end
+              else begin
+                let r1 = !r1 and w1 = !w1 in
+                (* round 2 over the survivors; round-1 clips go out first *)
+                let nv2 = ref 0 and r2 = ref r1 and w2 = ref w1 and j = ref 0 in
+                for i = 0 to n - 1 do
+                  let s = by_id.(i) in
+                  let st_s = status.(s) in
+                  if st_s = 1 then begin
+                    order.(!j) <- s;
+                    incr j;
+                    share.(s) <- d.(s)
+                  end
+                  else if st_s = 0 && Float.compare (d.(s) *. w1) (w.(s) *. r1) < 0 then begin
+                    status.(s) <- 2;
+                    incr nv2;
+                    r2 := !r2 -. d.(s);
+                    w2 := !w2 -. w.(s)
+                  end
+                done;
+                if !nv2 = 0 then begin
+                  let pos = w1 > 0. in
+                  for i = 0 to n - 1 do
+                    let s = by_id.(i) in
+                    if status.(s) = 0 then begin
+                      order.(!j) <- s;
+                      incr j;
+                      share.(s) <- (if pos then w.(s) *. r1 /. w1 else 0.)
+                    end
+                  done
+                end
+                else begin
+                  let r2 = !r2 and w2 = !w2 in
+                  for i = 0 to n - 1 do
+                    let s = by_id.(i) in
+                    if status.(s) = 2 then begin
+                      order.(!j) <- s;
+                      incr j;
+                      share.(s) <- d.(s)
+                    end
+                  done;
+                  (* the residual pool in ratio order with its prefix sums *)
+                  let rank = st.rank and rest2 = st.rest2 and pd = st.pd and pw = st.pw in
+                  let m = ref 0 in
+                  pd.(0) <- 0.;
+                  pw.(0) <- 0.;
+                  for k = 0 to st.n - 1 do
+                    let s = rank.(k) in
+                    if status.(s) = 0 then begin
+                      let m' = !m in
+                      rest2.(m') <- s;
+                      pd.(m' + 1) <- pd.(m') +. d.(s);
+                      pw.(m' + 1) <- pw.(m') +. w.(s);
+                      m := m' + 1
+                    end
+                  done;
+                  let m = !m in
+                  let lo = ref 0 and hi = ref m in
+                  while !lo < !hi do
+                    let mid = (!lo + !hi) / 2 in
+                    let s = rest2.(mid) in
+                    let w' = w2 -. pw.(mid) in
+                    if
+                      (not (w' > 0.))
+                      || Float.compare (d.(s) *. w') (w.(s) *. (r2 -. pd.(mid))) >= 0
+                    then hi := mid
+                    else lo := mid + 1
+                  done;
+                  let ksat = !lo in
+                  let r' = r2 -. pd.(ksat) and w' = w2 -. pw.(ksat) in
+                  let pos = w' > 0. in
+                  for k = 0 to m - 1 do
+                    let s = rest2.(k) in
+                    order.(!j) <- s;
+                    incr j;
+                    share.(s) <-
+                      (if k < ksat then d.(s) else if pos then w.(s) *. r' /. w' else 0.)
+                  done
+                end
+              end
+            end)
+
+    (* The one reshare entry point: the float kernel when the field is
+       float, the generic kernel (the exact-field path) otherwise. *)
+    let shares_into st ~capacity ~n ~by_id ~share ~order =
+      match float_shares_into with
+      | Some k -> k st capacity n by_id share order
+      | None -> generic_shares_into st ~capacity ~n ~by_id ~share ~order
 
     let kinetic ~use_weights () : En.kinetic =
       let st = create ~use_weights () in

@@ -51,8 +51,22 @@ module Make (F : Mwct_field.Field.S) : sig
     (** Fill [share] (slot-indexed) and [order] (output order) for the
         [n] tracked slots listed in [by_id] (ascending external id) —
         the exact shares and output order of
-        [shares ~capacity (views in by_id order)]. *)
+        [shares ~capacity (views in by_id order)]. On the float field
+        this runs a monomorphic kernel that allocates nothing; on other
+        fields it is {!generic_shares_into}. *)
     val shares_into :
+      state ->
+      capacity:F.t ->
+      n:int ->
+      by_id:int array ->
+      share:F.t array ->
+      order:int array ->
+      unit
+
+    (** The field-generic reshare kernel: the exact-field path, and the
+        oracle the float kernel behind {!shares_into} is tested against
+        bit for bit. *)
+    val generic_shares_into :
       state ->
       capacity:F.t ->
       n:int ->

@@ -505,15 +505,14 @@ module Make (F : Mwct_field.Field.S) = struct
      dependency lists, breakpoint array pairs) are shared — the engine
      never mutates them in place, it only replaces whole cells. Both
      hashtables are copied, and the metrics record is deep-copied
-     including the latency histogram ([Metrics.copy] shares [lat] for
-     its memo; here observations on a fork must not bleed into the
-     parent). The share cache ([c_share], [order], [norder]) and the
+     including the latency histogram ({!Metrics.Make.copy}), so
+     observations on a fork never bleed into the parent. The share
+     cache ([c_share], [order], [norder]) and the
      [dirty] flag are carried over exactly as they stand: forcing a
      reshare on the copy would bump [metrics.reshares] and diverge its
      dump fingerprint from the straight-line engine's. *)
   let copy_state (t : t) ~policy ~kinetic : t =
-    let m = t.metrics in
-    let metrics = { m with M.lat = Array.copy m.M.lat; snap_state = None; snap = "" } in
+    let metrics = M.copy t.metrics in
     {
       capacity = t.capacity;
       policy;
@@ -596,11 +595,46 @@ module Make (F : Mwct_field.Field.S) = struct
 
   (* ---------- share cache ---------- *)
 
+  (* The commit sweep: copy the staged shares into [c_share] in output
+     order, counting each change. On the float field it runs over the
+     flat columns unboxed ([F.equal] is [Float.equal], i.e. [Float.compare
+     = 0]); the generic sweep boxes every staged share it reads. *)
+  let commit_generic t =
+    for i = 0 to t.norder - 1 do
+      let s = t.order.(i) in
+      let ns = t.c_new_share.(s) in
+      if not (F.equal t.c_share.(s) ns) then begin
+        t.c_share.(s) <- ns;
+        t.c_changes.(s) <- t.c_changes.(s) + 1;
+        t.metrics.M.alloc_changes <- t.metrics.M.alloc_changes + 1
+      end
+    done
+
+  let commit_float : (t -> unit) option =
+    match F.witness with
+    | Mwct_field.Field.Any -> None
+    | Mwct_field.Field.Float ->
+      Some
+        (fun t ->
+          let order = t.order and share = t.c_share and staged = t.c_new_share in
+          let changes = t.c_changes in
+          let nchanged = ref 0 in
+          for i = 0 to t.norder - 1 do
+            let s = order.(i) in
+            let ns = staged.(s) in
+            if Float.compare share.(s) ns <> 0 then begin
+              share.(s) <- ns;
+              changes.(s) <- changes.(s) + 1;
+              incr nchanged
+            end
+          done;
+          t.metrics.M.alloc_changes <- t.metrics.M.alloc_changes + !nchanged)
+
   (* Views in increasing id order — the same order the batch simulator
      fed its policy, and deterministic across runs. The kinetic rule
      fills the staging column directly; the list policy goes through
      the id indirection once per reshare. Either way the commit sweep
-     below is the single place share changes are counted. *)
+     is the single place share changes are counted. *)
   let recompute_if_dirty t =
     if t.dirty then begin
       (match t.kinetic with
@@ -627,15 +661,7 @@ module Make (F : Mwct_field.Field.S) = struct
               incr n)
           raw;
         t.norder <- !n);
-      for i = 0 to t.norder - 1 do
-        let s = t.order.(i) in
-        let ns = t.c_new_share.(s) in
-        if not (F.equal t.c_share.(s) ns) then begin
-          t.c_share.(s) <- ns;
-          t.c_changes.(s) <- t.c_changes.(s) + 1;
-          t.metrics.M.alloc_changes <- t.metrics.M.alloc_changes + 1
-        end
-      done;
+      (match commit_float with Some f -> f t | None -> commit_generic t);
       t.metrics.M.reshares <- t.metrics.M.reshares + 1;
       t.dirty <- false
     end
@@ -783,7 +809,7 @@ module Make (F : Mwct_field.Field.S) = struct
      recording segments; then sweep the share list for completions
      ([leq_approx], matching the batch simulator's tolerance). Returns
      the completions in share-list order. *)
-  let advance_and_sweep t t_next =
+  let rec advance_and_sweep t t_next =
     let nowv = t.now_cell.(0) in
     let dt = F.sub t_next nowv in
     if F.sign dt > 0 then
@@ -806,9 +832,14 @@ module Make (F : Mwct_field.Field.S) = struct
         incr ndone
       end
     done;
+    close_done t !ndone
+
+  (* Complete the first [ndone] slots staged in [scratch_done] at the
+     current time, in staging order. *)
+  and close_done t ndone =
     let completed = ref [] in
     let at = t.now_cell.(0) in
-    for k = 0 to !ndone - 1 do
+    for k = 0 to ndone - 1 do
       let slot = t.scratch_done.(k) in
       let id = t.c_id.(slot) in
       if Hashtbl.mem t.slot_of_id id then begin
@@ -817,6 +848,39 @@ module Make (F : Mwct_field.Field.S) = struct
       end
     done;
     List.rev !completed
+
+  (* A step that neither moves the clock nor completes anything has met
+     tasks whose remaining work is below the clock's resolution: on the
+     float field, at a large [now], [now + remaining/rate] rounds back to
+     [now] while [remaining] is still above the completion tolerance.
+     Nothing would change on the next step either, so the loop could
+     only end in "no progress". Those first-min tasks — the ones whose
+     estimate equals [now] — complete at [now], in share-list order. A
+     state that reaches this point used to fail, so every run that
+     succeeded before keeps its output. *)
+  let close_unresolved t =
+    let nowv = t.now_cell.(0) in
+    let ndone = ref 0 in
+    for i = 0 to t.norder - 1 do
+      let slot = t.order.(i) in
+      let s = t.c_share.(slot) in
+      if F.sign s > 0 then begin
+        let r = slot_rate t slot s in
+        if F.sign r > 0 && F.equal (F.add_div nowv t.c_remaining.(slot) r) nowv then begin
+          t.scratch_done.(!ndone) <- slot;
+          incr ndone
+        end
+      end
+    done;
+    close_done t !ndone
+
+  (* One step to the estimate [eta]: completions, or — when the clock
+     cannot move — the unresolved first-min tasks. *)
+  let step_to_eta t eta =
+    let before = t.now_cell.(0) in
+    match advance_and_sweep t eta with
+    | [] when F.equal eta before -> close_unresolved t
+    | completed -> completed
 
   (* Floating-point residue can leave [remaining] a few ulps above zero
      after advancing to a task's own estimate; the estimate then shrinks
@@ -839,7 +903,7 @@ module Make (F : Mwct_field.Field.S) = struct
         recompute_if_dirty t;
         match next_completion t with
         | Some eta when F.compare eta target <= 0 ->
-          let completed = advance_and_sweep t eta in
+          let completed = step_to_eta t eta in
           notes := List.rev_append completed !notes;
           if completed = [] then begin
             incr stall;
@@ -865,7 +929,7 @@ module Make (F : Mwct_field.Field.S) = struct
       match next_completion t with
       | None -> err := Some (Invalid "deadlock: alive tasks but no positive share")
       | Some eta ->
-        let completed = advance_and_sweep t eta in
+        let completed = step_to_eta t eta in
         notes := List.rev_append completed !notes;
         if completed = [] then begin
           incr stall;
@@ -957,6 +1021,18 @@ module Make (F : Mwct_field.Field.S) = struct
               t.iscratch.(1) <- t.iscratch.(1) + 1
             end
           done;
+          if (not landed) && t.iscratch.(1) = 0 && Float.compare step_to nowv = 0 then
+            (* the clock cannot move: stage the unresolved first-min
+               tasks, as [close_unresolved] does *)
+            for i = 0 to n - 1 do
+              let slot = Array.unsafe_get order i in
+              let s = Array.unsafe_get share slot in
+              if s > 0. && Float.compare (nowv +. (Array.unsafe_get remaining slot /. s)) nowv = 0
+              then begin
+                t.scratch_done.(t.iscratch.(1)) <- slot;
+                t.iscratch.(1) <- t.iscratch.(1) + 1
+              end
+            done;
           (t.iscratch.(1) lsl 2) lor (if landed then 1 else 0)
         end
       in

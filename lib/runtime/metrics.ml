@@ -53,10 +53,10 @@ module Make (F : Mwct_field.Field.S) = struct
       snap = "";
     }
 
-  (* Copies drop the memo so snapshot chains never retain each other.
-     The histogram array is shared — memo validity compares only
-     [lat_count], which pins the (append-only) bucket contents. *)
-  let copy (m : t) = { m with snap_state = None; snap = "" }
+  (* Copies drop the memo so snapshot chains never retain each other,
+     and own their histogram: an observation on a copy (a forked
+     engine) must not bleed into its source. *)
+  let copy (m : t) = { m with lat = Array.copy m.lat; snap_state = None; snap = "" }
 
   let equal (a : t) (b : t) =
     a.events = b.events && a.submitted = b.submitted && a.completed = b.completed

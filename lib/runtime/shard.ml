@@ -125,17 +125,19 @@ module Make (F : Mwct_field.Field.S) = struct
 
   (* Sequence counters always advance, sinks or not: the numbering is
      part of the deterministic output, so attaching a journal to a
-     fresh run of the same stream reproduces the same bytes. *)
+     fresh run of the same stream reproduces the same bytes. A line is
+     rendered only when some sink receives it: with the decision sink
+     alone (serve without --record) that is the [out] lines, and the
+     input lines' JSON encoding is skipped. *)
 
   let memit t ?shard (e : J.entry) : unit =
     let seq = t.merged_seq in
     t.merged_seq <- seq + 1;
-    if t.merged_sink <> None || t.decision_sink <> None then begin
+    let decision = t.decision_sink <> None && (match e with J.Output _ -> true | _ -> false) in
+    if t.merged_sink <> None || decision then begin
       let line = J.to_line ?shard ~seq e in
       (match t.merged_sink with Some f -> f line | None -> ());
-      match (e, t.decision_sink) with
-      | J.Output _, Some f -> f line
-      | _ -> ()
+      match t.decision_sink with Some f when decision -> f line | _ -> ()
     end
 
   let semit t k (e : J.entry) : unit =

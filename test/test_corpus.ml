@@ -52,6 +52,24 @@ let test_thm9_boundary () =
     (Printf.sprintf "WDEQ needs > n allocation changes (%d for n=%d)" changes n)
     true (changes > n)
 
+(* Exactly tied optimal orders: the float LP's ulp noise must not let a
+   later tied order win. Both enumerative solvers pick the same order on
+   both fields, so the makespans agree as well as the objectives. *)
+let test_optimal_tie () =
+  let spec = load "optimal-float-tie.spec" in
+  let fi = Support.finst spec and qi = Support.qinst spec in
+  let close a q = Float.abs (a -. Mwct_rational.Rational.to_float q) < 1e-9 in
+  let fo, fs = Support.EF.Lp_schedule.optimal fi in
+  let qo, qs = EQ.Lp_schedule.optimal qi in
+  Alcotest.(check bool) "optimal objective agrees" true (close fo qo);
+  Alcotest.(check (array int)) "optimal order agrees" qs.EQ.Types.order fs.Support.EF.Types.order;
+  Alcotest.(check bool) "optimal makespan agrees" true
+    (close (Support.EF.Schedule.makespan fs) (EQ.Schedule.makespan qs));
+  let fg, fsig = Support.EF.Lp_schedule.best_greedy fi in
+  let qg, qsig = EQ.Lp_schedule.best_greedy qi in
+  Alcotest.(check bool) "best-greedy objective agrees" true (close fg qg);
+  Alcotest.(check (array int)) "best-greedy order agrees" qsig fsig
+
 let () =
   let replays =
     List.map
@@ -62,5 +80,8 @@ let () =
     [
       ("replay", replays);
       ( "boundaries",
-        [ Alcotest.test_case "thm9 offline scoping is necessary" `Quick test_thm9_boundary ] );
+        [
+          Alcotest.test_case "thm9 offline scoping is necessary" `Quick test_thm9_boundary;
+          Alcotest.test_case "optimal ties resolve alike on both fields" `Quick test_optimal_tie;
+        ] );
     ]

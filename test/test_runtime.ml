@@ -288,6 +288,53 @@ let test_replay_rejects_corruption () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "replay accepted tampered decisions"
 
+(* ---------- large virtual time ---------- *)
+
+(* At now = 2^26 one ulp of the clock is about 1.5e-8, above the 1e-9
+   completion tolerance. After the first completion here, the other
+   task's float residue divided by its new share rounds [now + rem/s]
+   back to [now]: the step cannot move the clock and completes nothing.
+   That state used to end in "no progress" after 65 steps on both the
+   generic loop (segments on) and the float fast path (segments off);
+   the engine now completes such first-min tasks at [now]. Both loops,
+   and both the [Drain] and [Advance] entry points, must agree. *)
+let test_large_clock_completes () =
+  let run ~record_segments ~kinetic last =
+    let eng =
+      HF.En.create ~record_segments
+        ?kinetic:(if kinetic then HF.Sim.P.engine_kinetic HF.Sim.P.Wdeq else None)
+        ~capacity:4. ~policy:HF.wdeq_policy ()
+    in
+    ignore (HF.ok (HF.En.apply eng (HF.En.Advance_to 0x1p26)));
+    List.iteri
+      (fun id (volume, weight, cap) ->
+        ignore
+          (HF.ok
+             (HF.En.apply eng
+                (HF.En.Submit { id; volume; weight; cap; speedup = None; deps = [] }))))
+      [ (0.5, 0.5, 3.); (1.25, 1., 3.) ];
+    let notes = HF.ok (HF.En.apply eng last) in
+    Alcotest.(check int) "every task completed" 0 (HF.En.alive_count eng);
+    List.map (fun (n : HF.En.notification) -> (n.HF.En.id, n.HF.En.at)) notes
+  in
+  let runs =
+    List.concat_map
+      (fun last ->
+        [
+          run ~record_segments:true ~kinetic:false last;
+          run ~record_segments:false ~kinetic:true last;
+        ])
+      [ HF.En.Drain; HF.En.Advance 1. ]
+  in
+  let first = List.hd runs in
+  Alcotest.(check int) "two completions" 2 (List.length first);
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "loops and entry points agree bit for bit" true
+        (List.length r = List.length first
+        && List.for_all2 (fun (i, a) (j, b) -> i = j && Float.equal a b) r first))
+    runs
+
 let () =
   let p = QCheck_alcotest.to_alcotest in
   Alcotest.run "runtime"
@@ -316,4 +363,7 @@ let () =
           Alcotest.test_case "cancel unknown/completed" `Quick test_cancel_unknown;
           Alcotest.test_case "bad payloads rejected" `Quick test_bad_events;
         ] );
+      ( "large-clock",
+        [ Alcotest.test_case "sub-resolution residues complete" `Quick test_large_clock_completes ]
+      );
     ]

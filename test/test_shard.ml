@@ -217,6 +217,26 @@ let test_latency_histogram () =
   M.observe_latency m 1e-6;
   Alcotest.(check bool) "observation breaks equality" false (M.equal before m)
 
+(* A copy owns its histogram: observations on it (a forked engine's
+   metrics) leave the source's count and quantiles as they were. The
+   copy's observations land in lower buckets than the source's, so a
+   shared bucket array would drag the source's quantiles down. *)
+let test_copy_isolates_latency () =
+  let m = M.create () in
+  for _ = 1 to 10 do
+    M.observe_latency m 1.0
+  done;
+  let quantiles m = List.map (M.latency_quantile m) [ 0.5; 0.9; 0.99 ] in
+  let count0 = m.M.lat_count and q0 = quantiles m in
+  let c = M.copy m in
+  for _ = 1 to 100 do
+    M.observe_latency c 1e-6
+  done;
+  Alcotest.(check int) "source lat_count unchanged" count0 m.M.lat_count;
+  Alcotest.(check bool) "source quantiles unchanged" true (quantiles m = q0);
+  Alcotest.(check int) "copy counts its own" (count0 + 100) c.M.lat_count;
+  Alcotest.(check bool) "copy's median moved" true (M.latency_quantile c 0.5 < List.hd q0)
+
 (* ---------- store smoke: zero-capacity shard rides along ---------- *)
 
 module St = Mwct_runtime.Shard.Float
@@ -287,6 +307,10 @@ let () =
         ] );
       ( "par", [ Alcotest.test_case "fork-join pool" `Quick test_par_run ] );
       ( "ingest", [ Alcotest.test_case "chunked line reader" `Quick test_ingest_lines ] );
-      ( "metrics", [ Alcotest.test_case "latency histogram" `Quick test_latency_histogram ] );
+      ( "metrics",
+        [
+          Alcotest.test_case "latency histogram" `Quick test_latency_histogram;
+          Alcotest.test_case "copy owns its histogram" `Quick test_copy_isolates_latency;
+        ] );
       ( "store", [ Alcotest.test_case "idle shard rides ticks" `Quick test_starved_shard ] );
     ]

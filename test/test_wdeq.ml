@@ -160,6 +160,31 @@ let prop_lemma2_exact_near_tie =
       let h = EQ.Lower_bounds.height_bound (EQ.Instance.sub_instance qi d.EQ.Wdeq.full_volume) in
       Q.compare tc (Q.mul (Q.of_int 2) (Q.add a h)) <= 0)
 
+(* Volumes near 2^24 and 2^26: one ulp of the remaining volume exceeds
+   the 1e-9 completion tolerance, so [rem - s·(rem/s)] can leave the
+   task a step was sized for just above it. Such a step used to fail
+   with "no completion at event (numeric drift)"; its first-min task
+   now completes. The float kernel and the generic loop must still
+   agree bit for bit, and the completion times must match the exact
+   engine's to float precision. *)
+let test_large_volume_residue () =
+  let sp = Support.spec ~procs:4 [ ((16777849, 1), (3, 2), 2); ((50332233, 1), (2, 1), 3) ] in
+  let fi = Support.finst sp and qi = Support.qinst sp in
+  let s, _ = EF.Wdeq.wdeq fi in
+  let r, _ = EF.Wdeq.simulate_reference fi in
+  let q, _ = EQ.Wdeq.wdeq qi in
+  Alcotest.(check bool) "valid" true (EF.Schedule.is_valid s);
+  Alcotest.(check (array int)) "kernel order = reference" r.EF.Types.order s.EF.Types.order;
+  Alcotest.(check bool) "kernel finish = reference, bit for bit" true
+    (Array.for_all2 Float.equal r.EF.Types.finish s.EF.Types.finish);
+  Alcotest.(check (array int)) "order = exact" q.EQ.Types.order s.EF.Types.order;
+  Array.iteri
+    (fun j c ->
+      let e = Q.to_float q.EQ.Types.finish.(j) in
+      Alcotest.(check bool) "finish = exact to float precision" true
+        (Float.abs (c -. e) <= 1e-12 *. e))
+    s.EF.Types.finish
+
 let () =
   let q tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests in
   Alcotest.run "wdeq"
@@ -171,6 +196,7 @@ let () =
           Alcotest.test_case "deq ignores weights" `Quick test_deq_ignores_weights;
           Alcotest.test_case "diagnostics partition" `Quick test_diagnostics_partition;
           Alcotest.test_case "exact engine" `Quick test_exact_wdeq;
+          Alcotest.test_case "large-volume residue completes" `Quick test_large_volume_residue;
         ] );
       ( "properties",
         q
