@@ -24,7 +24,8 @@
 
    `--quick` is the CI smoke mode: experiments are skipped, the
    bechamel quota is cut, and the throughput run is shortened — every
-   BENCH_*.json is still produced. `--min-events-per-sec F` turns the
+   BENCH_*.json is still produced, under `_build/bench-quick/`; only a
+   full run rewrites the checked-in files at the repo root. `--min-events-per-sec F` turns the
    part-3 throughput row into a hard floor (non-zero exit below it), so
    CI can fail on engine regressions against the checked-in baseline. *)
 
@@ -274,12 +275,13 @@ let bench_wdeq_seed_1000 =
   Test.make ~name:"B14d wdeq.simulate seed-baseline n=1000" (Staged.stage (fun () ->
       ignore (Seed_wdeq.simulate inst)))
 
-(* B15: one share computation, fast kernel vs the seed's List.partition
-   fixpoint, at n=100 and n=1000 — the per-event cost behind B14. On
-   benign uniform instances the reference converges in a couple of
-   rounds, so a standalone fast call (which pays a fresh sort) can
-   lose; simulate wins because the ratio sort is hoisted out of the
-   event loop and the worst case drops from O(n^2) to O(log n). *)
+(* B15: one share computation, the share kernel's one-shot
+   ([Wdeq.kinetic_shares]: a fresh kinetic state, n ratio-ordered
+   inserts, one reshare) vs the seed's List.partition fixpoint, at
+   n=100 and n=1000. A standalone one-shot pays the inserts that the
+   simulate loop and the engine amortize over a whole run, so on
+   benign uniform instances, where the reference converges in a couple
+   of rounds, it can lose; B14 is the per-run picture. *)
 let alive_of_size n =
   let inst = instance_of_size n in
   ( inst.EF.Types.procs,
@@ -288,8 +290,8 @@ let alive_of_size n =
 
 let bench_shares_fast_100 =
   let p, alive = alive_of_size 100 in
-  Test.make ~name:"B15a wdeq.shares fast n=100" (Staged.stage (fun () ->
-      ignore (EF.Wdeq.shares ~p alive)))
+  Test.make ~name:"B15a wdeq.kinetic_shares n=100" (Staged.stage (fun () ->
+      ignore (EF.Wdeq.kinetic_shares ~p alive)))
 
 let bench_shares_ref_100 =
   let p, alive = alive_of_size 100 in
@@ -298,8 +300,8 @@ let bench_shares_ref_100 =
 
 let bench_shares_fast_1000 =
   let p, alive = alive_of_size 1000 in
-  Test.make ~name:"B15c wdeq.shares fast n=1000" (Staged.stage (fun () ->
-      ignore (EF.Wdeq.shares ~p alive)))
+  Test.make ~name:"B15c wdeq.kinetic_shares n=1000" (Staged.stage (fun () ->
+      ignore (EF.Wdeq.kinetic_shares ~p alive)))
 
 let bench_shares_ref_1000 =
   let p, alive = alive_of_size 1000 in
@@ -358,6 +360,13 @@ let benchmark ~quota =
 
 (* Machine-readable results: kernel name -> ns/run, for regression
    tracking across PRs. *)
+(* Where the BENCH_*.json files go: the repo root for a full run (the
+   checked-in figures), [_build/bench-quick/] for [--quick] so a smoke
+   run never overwrites them. Set once in [main] before any part runs. *)
+let out_dir = ref "."
+
+let out_file name = Filename.concat !out_dir name
+
 let emit_json path rows =
   let oc = open_out path in
   let escape s =
@@ -460,7 +469,7 @@ let run_throughput ~quick =
   Printf.printf
     "  alive=%d rounds=%d input_events=%d completions=%d elapsed=%.3fs -> %.0f events/s\n"
     alive_target rounds input_events completions elapsed_s events_per_sec;
-  let oc = open_out "BENCH_3.json" in
+  let oc = open_out (out_file "BENCH_3.json") in
   Printf.fprintf oc
     "{\n\
     \  \"benchmark\": \"engine event throughput (wdeq policy, churning alive set)\",\n\
@@ -476,7 +485,7 @@ let run_throughput ~quick =
     alive_target rounds input_events completions elapsed_s events_per_sec
     (events_per_sec >= 10000.0);
   close_out oc;
-  Printf.printf "\nWrote throughput results to BENCH_3.json\n";
+  Printf.printf "\nWrote throughput results to %s\n" (out_file "BENCH_3.json");
   events_per_sec
 
 (* ---------- part 4: engine data plane (DESIGN.md §12) ---------- *)
@@ -564,7 +573,7 @@ let run_data_plane ~events_per_sec ~nshards ~sharded_eps ~scaling ~lat ~ingest =
   in
   let p50, p90, p99, p999 = lat in
   let ingest_before, ingest_after = ingest in
-  let oc = open_out "BENCH_4.json" in
+  let oc = open_out (out_file "BENCH_4.json") in
   Printf.fprintf oc
     "{\n\
     \  \"benchmark\": \"engine data plane: SoA task store + kinetic share frontier + sharded serve\",\n\
@@ -592,7 +601,7 @@ let run_data_plane ~events_per_sec ~nshards ~sharded_eps ~scaling ~lat ~ingest =
     scaling_json nshards p50 p90 p99 p999 ingest_before ingest_after
     (ingest_after /. ingest_before);
   close_out oc;
-  Printf.printf "\nWrote data-plane results to BENCH_4.json\n"
+  Printf.printf "\nWrote data-plane results to %s\n" (out_file "BENCH_4.json")
 
 (* ---------- part 6: sharded serve (rows into BENCH_4.json) ---------- *)
 
@@ -814,7 +823,7 @@ let run_speedup_bench ~quick =
   Printf.printf
     "  wdeq n=%d linear law: fast path %.4fs, identity-curve generic path %.4fs (x%.2f)\n" n
     fast_s generic_s ratio;
-  let oc = open_out "BENCH_5.json" in
+  let oc = open_out (out_file "BENCH_5.json") in
   Printf.fprintf oc
     "{\n\
     \  \"benchmark\": \"generalized rate model: WDEQ on the linear law, float fast path vs identity-curve generic path\",\n\
@@ -825,7 +834,7 @@ let run_speedup_bench ~quick =
      }\n"
     n fast_s generic_s ratio;
   close_out oc;
-  Printf.printf "\nWrote rate-model results to BENCH_5.json\n"
+  Printf.printf "\nWrote rate-model results to %s\n" (out_file "BENCH_5.json")
 
 (* ---------- part 7: precedence subsystem (BENCH_6.json) ---------- *)
 
@@ -932,7 +941,7 @@ let run_dag_bench ~quick =
     wave rounds input_events completions elapsed_s events_per_sec;
   Printf.printf "  dag_simulate n=%d: bag wdeq %.4fs, layered wdeq-dag %.4fs (x%.2f)\n" n bag_s
     dag_s ratio;
-  let oc = open_out "BENCH_6.json" in
+  let oc = open_out (out_file "BENCH_6.json") in
   Printf.fprintf oc
     "{\n\
     \  \"benchmark\": \"precedence subsystem: layered DAG churn through the online engine, batch frontier policy vs independent bag\",\n\
@@ -953,7 +962,7 @@ let run_dag_bench ~quick =
      }\n"
     wave rounds input_events completions elapsed_s events_per_sec n bag_s dag_s ratio;
   close_out oc;
-  Printf.printf "\nWrote precedence results to BENCH_6.json\n"
+  Printf.printf "\nWrote precedence results to %s\n" (out_file "BENCH_6.json")
 
 (* ---------- part 8: what-if subsystem (BENCH_7.json) ---------- *)
 
@@ -1037,7 +1046,7 @@ let run_whatif_bench ~quick =
     "  branch replay: %d events, fork at %d, %d branches -> %d replayed events in %.3fs (%.0f \
      events/s)\n"
     (List.length events) (nevents / 2) (List.length branches) replayed elapsed_s replay_eps;
-  let oc = open_out "BENCH_7.json" in
+  let oc = open_out (out_file "BENCH_7.json") in
   Printf.fprintf oc
     "{\n\
     \  \"benchmark\": \"what-if subsystem: snapshot/fork cost on a steady engine, branch replay throughput over a diurnal load\",\n\
@@ -1058,12 +1067,18 @@ let run_whatif_bench ~quick =
     alive fork_micros words_per_fork (List.length events) (nevents / 2) (List.length branches)
     replayed elapsed_s replay_eps;
   close_out oc;
-  Printf.printf "\nWrote what-if results to BENCH_7.json\n";
+  Printf.printf "\nWrote what-if results to %s\n" (out_file "BENCH_7.json");
   fork_micros
 
 let () =
   let argv = Array.to_list Sys.argv in
   let quick = List.mem "--quick" argv in
+  if quick then begin
+    out_dir := Filename.concat "_build" "bench-quick";
+    List.iter
+      (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+      [ "_build"; !out_dir ]
+  end;
   let opt_arg name =
     let rec go = function
       | key :: v :: _ when key = name -> Some v
@@ -1082,8 +1097,8 @@ let () =
   if (not quick) && not (List.mem "--no-experiments" argv) then run_experiments ();
   let rows = benchmark ~quota:(if quick then 0.05 else 0.5) in
   let registry_rows, kernel_rows = List.partition is_registry_row rows in
-  emit_json "BENCH_1.json" kernel_rows;
-  emit_json "BENCH_2.json" registry_rows;
+  emit_json (out_file "BENCH_1.json") kernel_rows;
+  emit_json (out_file "BENCH_2.json") registry_rows;
   let events_per_sec = run_throughput ~quick in
   let sharded_eps, scaling, lat = run_sharded ~quick ~nshards in
   let ingest = run_ingest ~quick in

@@ -3,14 +3,17 @@
     the malleable-task model.
 
     The policy is Algorithm 1 restricted to the {e ready frontier}: at
-    every instant the platform is shared (by the saturation-frontier
-    rule of {!Wdeq.Make.shares}) among the tasks whose parents have all
+    every instant the platform is shared (by the share kernel of
+    {!Wdeq.Make.Incremental}) among the tasks whose parents have all
     completed; a completion may release new tasks into the frontier,
     which trigger a reshare exactly like a completion does in the
-    independent setting. Because dependency edges only ever point at
-    earlier tasks of a validated instance ({!Instance.Make.validate}
-    runs Kahn's algorithm), the frontier is nonempty until everything
-    has completed — the loop cannot deadlock.
+    independent setting. The time-stepping is {!Wdeq.Make.simulate}'s
+    batch loop, which reads readiness from the instance's edges; this
+    module supplies only the weight rule. Because dependency edges only
+    ever point at earlier tasks of a validated instance
+    ({!Instance.Make.validate} runs Kahn's algorithm), the frontier is
+    nonempty until everything has completed — the loop cannot
+    deadlock.
 
     Two weighting schemes:
 
@@ -27,8 +30,8 @@
       remaining work). Exposed behind the flag for experiments; not a
       separate registry entry.
 
-    Zero-edge instances dispatch straight to {!Wdeq.Make.simulate}, so
-    their schedules are {e bit-identical} to the independent-bag path
+    Zero-edge instances run {!Wdeq.Make.simulate} unchanged, so their
+    schedules are {e bit-identical} to the independent-bag path
     (including the monomorphic float kernel). *)
 
 module Make (F : Mwct_field.Field.S) = struct
@@ -37,25 +40,18 @@ module Make (F : Mwct_field.Field.S) = struct
   module W = Wdeq.Make (F)
   open T
 
-  (* Share weights for one run: unit for DEQ, the task's own weight for
-     WDEQ. The transitive variant prices *remaining gated work*,
-     speedup-curve-aware: a ready task's share weight is its own weight
-     times its remaining height [remaining_i / s_i(min(δ_i, P))] plus
-     the static Σ w_j·h_j over its transitive descendants
-     ({!Instance.Make.gated_work} — a descendant cannot start before
-     its ancestor completes, so that term never drains while counted).
-     Unit weights under the unweighted policy, so DEQ-transitive ranks
-     by remaining descendant work rather than raw descendant counts. *)
-  let run_weights ~use_weights ~transitive (inst : instance) :
-      remaining:F.t array -> int -> F.t =
-    match (use_weights, transitive) with
-    | true, false -> fun ~remaining:_ i -> inst.tasks.(i).weight
-    | false, false -> fun ~remaining:_ _ -> F.one
-    | _, true ->
-      let gated = I.gated_work ~use_weights inst in
-      let w i = if use_weights then inst.tasks.(i).weight else F.one in
-      fun ~remaining i ->
-        F.add (F.mul (w i) (F.div remaining.(i) (I.max_rate inst i))) gated.(i)
+  (* The transitive share weight prices *remaining gated work*,
+     speedup-curve-aware: a ready task's own weight times its remaining
+     height [remaining_i / s_i(min(δ_i, P))] plus the static Σ w_j·h_j
+     over its transitive descendants ({!Instance.Make.gated_work} — a
+     descendant cannot start before its ancestor completes, so that
+     term never drains while counted). Unit weights under the
+     unweighted policy, so DEQ-transitive ranks by remaining descendant
+     work rather than raw descendant counts. *)
+  let transitive_weight ~use_weights (inst : instance) : remaining:F.t array -> int -> F.t =
+    let gated = I.gated_work ~use_weights inst in
+    let w i = if use_weights then inst.tasks.(i).weight else F.one in
+    fun ~remaining i -> F.add (F.mul (w i) (F.div remaining.(i) (I.max_rate inst i))) gated.(i)
 
   (** Simulate a frontier-equipartition run to completion.
       [~use_weights:false] gives the unweighted policy (frontier-DEQ);
@@ -65,83 +61,9 @@ module Make (F : Mwct_field.Field.S) = struct
       same bits, same diagnostics. *)
   let simulate ?(use_weights = true) ?(transitive = false) (inst : instance) :
       column_schedule * W.diagnostics =
-    if not (I.has_deps inst) then W.simulate ~use_weights inst
-    else begin
-      let n = I.num_tasks inst in
-      let weight = run_weights ~use_weights ~transitive inst in
-      let delta = Array.init n (fun i -> I.effective_delta inst i) in
-      let remaining = Array.map (fun t -> t.volume) inst.tasks in
-      let children = I.dep_children inst in
-      let unmet = Array.init n (fun i -> Array.length inst.tasks.(i).deps) in
-      let completed = Array.make n false in
-      let full_volume = Array.make n F.zero in
-      let limited_volume = Array.make n F.zero in
-      let order = Array.make n 0 in
-      let finish = Array.make n F.zero in
-      let columns = Array.make n [] in
-      let share = Array.make n F.zero in
-      let t_now = ref F.zero in
-      let col = ref 0 in
-      while !col < n do
-        (* Ready frontier in ascending index order. *)
-        let alive = ref [] in
-        for i = n - 1 downto 0 do
-          if (not completed.(i)) && unmet.(i) = 0 then
-            alive := (i, weight ~remaining i, delta.(i)) :: !alive
-        done;
-        let shared = W.shares ~p:inst.procs !alive in
-        Array.fill share 0 n F.zero;
-        (* Next completion among the frontier (shares are positive for
-           at least one ready task: capacity is positive and the
-           frontier is nonempty on a validated acyclic instance). *)
-        let t_best = ref F.zero in
-        let seen = ref false in
-        List.iter
-          (fun (i, s) ->
-            share.(i) <- s;
-            let r = I.rate_at inst i s in
-            if F.sign r > 0 then begin
-              let ti = F.div remaining.(i) r in
-              if (not !seen) || F.compare ti !t_best < 0 then begin
-                t_best := ti;
-                seen := true
-              end
-            end)
-          shared;
-        if not !seen then invalid_arg "Dag.simulate: no ready task can progress";
-        let dt = !t_best in
-        let t_end = F.add !t_now dt in
-        let finished = ref [] in
-        List.iter
-          (fun (i, s) ->
-            let processed = F.mul (I.rate_at inst i s) dt in
-            remaining.(i) <- F.sub remaining.(i) processed;
-            if F.equal_approx s delta.(i) then full_volume.(i) <- F.add full_volume.(i) processed
-            else limited_volume.(i) <- F.add limited_volume.(i) processed;
-            if F.leq_approx remaining.(i) F.zero then finished := i :: !finished)
-          shared;
-        let finished = List.sort Stdlib.compare !finished in
-        (match finished with
-        | [] -> invalid_arg "Dag.simulate: no completion at event (numeric drift)"
-        | _ -> ());
-        let column = ref [] in
-        for i = n - 1 downto 0 do
-          if F.sign share.(i) > 0 then column := (i, share.(i)) :: !column
-        done;
-        List.iteri
-          (fun k i ->
-            let j = !col + k in
-            order.(j) <- i;
-            finish.(j) <- t_end;
-            completed.(i) <- true;
-            List.iter (fun c -> unmet.(c) <- unmet.(c) - 1) children.(i);
-            if k = 0 then columns.(j) <- !column)
-          finished;
-        col := !col + List.length finished;
-        t_now := t_end
-      done;
-      ({ instance = inst; order; finish; columns }, { W.full_volume; W.limited_volume })
-    end
+    if transitive && I.has_deps inst then
+      W.simulate_weighted ~weight:(transitive_weight ~use_weights inst) inst
+    else W.simulate ~use_weights inst
 
   (** Frontier-WDEQ schedule of a (possibly precedence-constrained)
       instance. *)

@@ -30,7 +30,7 @@ module Make (F : Mwct_field.Field.S) = struct
      allocation itself under the linear law ([None]), so the linear
      arithmetic is the historical one bit-for-bit. *)
   let place ?speedup (profile : profile) ~delta ~volume =
-    let rate_of alloc = match speedup with None -> alloc | Some c -> I.curve_rate c alloc in
+    let rate_of alloc = match speedup with None -> alloc | Some (bx, by) -> I.eval_curve bx by alloc in
     let rec go acc remaining = function
       | [] -> invalid_arg "Greedy.place: profile exhausted (broken invariant)"
       | (t0, avail) :: rest ->

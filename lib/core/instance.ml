@@ -7,9 +7,10 @@ module Make (F : Mwct_field.Field.S) = struct
 
   let of_rat (r : Spec.rat) = F.of_q r.Spec.num r.Spec.den
 
-  (* Evaluate a raw breakpoint curve (through the origin, constant
-     beyond the last breakpoint) at allocation [a]. Linear scan:
-     curves have a handful of pieces. *)
+  (** Evaluate a raw breakpoint curve (through the origin, constant
+      beyond the last breakpoint) at allocation [a]. Linear scan:
+      curves have a handful of pieces. The one curve evaluator: the
+      batch solvers and the runtime engine both call it. *)
   let eval_curve (bx : num array) (by : num array) (a : num) : num =
     let last = Array.length bx - 1 in
     if F.sign a <= 0 then F.zero
@@ -115,6 +116,29 @@ module Make (F : Mwct_field.Field.S) = struct
   (** True iff any task has a precedence parent. *)
   let has_deps (i : instance) = Array.exists (fun t -> t.deps <> [||]) i.tasks
 
+  (** Structural check of a raw breakpoint curve [(bx, by)]: matching
+      non-empty arrays, positive breakpoints, strictly increasing
+      allocations, non-decreasing rates, a first slope of at most 1 and
+      concavity. [None] when well-formed, else the reason. The runtime
+      engine checks submitted curves with it. *)
+  let check_curve (bx : num array) (by : num array) : string option =
+    let n = Array.length bx in
+    let rec go j px py pslope =
+      if j = n then None
+      else if F.sign bx.(j) <= 0 || F.sign by.(j) <= 0 then Some "speedup breakpoints must be positive"
+      else if F.compare px bx.(j) >= 0 then Some "speedup allocations must be strictly increasing"
+      else if F.compare py by.(j) > 0 then Some "speedup rate must be non-decreasing"
+      else
+        let dx = F.sub bx.(j) px and dy = F.sub by.(j) py in
+        match pslope with
+        | None when F.compare by.(j) bx.(j) > 0 -> Some "speedup rate cannot exceed allocation"
+        | Some (pdx, pdy) when F.compare (F.mul dy pdx) (F.mul pdy dx) > 0 ->
+          Some "speedup must be concave"
+        | _ -> go (j + 1) bx.(j) by.(j) (Some (dx, dy))
+    in
+    if n = 0 || Array.length by <> n then Some "speedup breakpoint arrays must match and be non-empty"
+    else go 0 F.zero F.zero None
+
   (** Structural validity over the field: everything strictly positive,
       [δ_i >= 1]. Deltas above [P] are allowed (they behave as [P]).
       Speedup curves must satisfy the {!Types.Make.speedup} invariants
@@ -124,46 +148,6 @@ module Make (F : Mwct_field.Field.S) = struct
     else begin
       let bad = ref None in
       let fail k msg = bad := Some (Printf.sprintf "task %d: %s" k msg) in
-      let check_curve k bx by delta =
-        let n = Array.length bx in
-        if n = 0 || Array.length by <> n then fail k "speedup breakpoint arrays must match and be non-empty"
-        else if F.compare bx.(n - 1) delta <> 0 then fail k "last speedup breakpoint must equal delta"
-        else begin
-          let px = ref F.zero and py = ref F.zero in
-          let pslope = ref None in
-          (try
-             for j = 0 to n - 1 do
-               if F.sign bx.(j) <= 0 || F.sign by.(j) <= 0 then begin
-                 fail k "speedup breakpoints must be positive";
-                 raise Exit
-               end;
-               if F.compare !px bx.(j) >= 0 then begin
-                 fail k "speedup allocations must be strictly increasing";
-                 raise Exit
-               end;
-               if F.compare !py by.(j) > 0 then begin
-                 fail k "speedup rate must be non-decreasing";
-                 raise Exit
-               end;
-               let dx = F.sub bx.(j) !px and dy = F.sub by.(j) !py in
-               (match !pslope with
-               | None ->
-                 if F.compare by.(j) bx.(j) > 0 then begin
-                   fail k "speedup rate cannot exceed allocation";
-                   raise Exit
-                 end
-               | Some (pdx, pdy) ->
-                 if F.compare (F.mul dy pdx) (F.mul pdy dx) > 0 then begin
-                   fail k "speedup must be concave";
-                   raise Exit
-                 end);
-               pslope := Some (dx, dy);
-               px := bx.(j);
-               py := by.(j)
-             done
-           with Exit -> ())
-        end
-      in
       let n = Array.length i.tasks in
       let check_deps k (deps : int array) =
         let seen = Hashtbl.create (Array.length deps) in
@@ -186,7 +170,11 @@ module Make (F : Mwct_field.Field.S) = struct
             else begin
               match t.speedup with
               | Linear_delta -> ()
-              | Curve { bx; by } -> check_curve k bx by t.delta
+              | Curve { bx; by } ->
+                let n = Array.length bx in
+                if n > 0 && Array.length by = n && F.compare bx.(n - 1) t.delta <> 0 then
+                  fail k "last speedup breakpoint must equal delta"
+                else Option.iter (fail k) (check_curve bx by)
             end;
             if Option.is_none !bad then check_deps k t.deps
           end)
@@ -257,11 +245,6 @@ module Make (F : Mwct_field.Field.S) = struct
       linear law — the runtime engine's submission format. *)
   let speedup_arrays (i : instance) k : (num array * num array) option =
     match i.tasks.(k).speedup with Linear_delta -> None | Curve { bx; by } -> Some (bx, by)
-
-  (** Evaluate a raw breakpoint curve (as returned by
-      {!speedup_arrays}) at allocation [a] — for code that carries the
-      arrays without the instance. *)
-  let curve_rate ((bx, by) : num array * num array) (a : num) : num = eval_curve bx by a
 
   (* ---------- precedence topology ---------- *)
 

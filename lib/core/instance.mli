@@ -65,9 +65,18 @@ module Make (F : Mwct_field.Field.S) : sig
       the runtime engine's submission format. *)
   val speedup_arrays : Types.Make(F).instance -> int -> (F.t array * F.t array) option
 
-  (** Evaluate a raw breakpoint curve (as returned by
-      {!speedup_arrays}) at an allocation. *)
-  val curve_rate : F.t array * F.t array -> F.t -> F.t
+  (** [eval_curve bx by a] evaluates a raw breakpoint curve (as
+      returned by {!speedup_arrays}) at allocation [a]: through the
+      origin, linear between breakpoints, constant beyond the last.
+      The one curve evaluator, shared with the runtime engine. *)
+  val eval_curve : F.t array -> F.t array -> F.t -> F.t
+
+  (** Structural check of a raw breakpoint curve: matching non-empty
+      arrays, positive breakpoints, strictly increasing allocations,
+      non-decreasing rates, first slope at most 1, concavity. [None]
+      when well-formed, else the reason ({!validate}'s wording, without
+      the task prefix). *)
+  val check_curve : F.t array -> F.t array -> string option
 
   (** Child adjacency of the dependency DAG, in index order. *)
   val dep_children : Types.Make(F).instance -> int list array

@@ -15,6 +15,7 @@
 
 module Make (F : Mwct_field.Field.S) = struct
   module En = Mwct_runtime.Engine.Make (F)
+  module W = Mwct_core.Wdeq.Make (F)
 
   (** What a policy may observe about one alive task. *)
   type view = { id : int; weight : F.t; cap : F.t }
@@ -32,89 +33,18 @@ module Make (F : Mwct_field.Field.S) = struct
   (** Lookup by {!name}; [None] for unknown names. *)
   let of_name s = List.find_opt (fun p -> String.equal (name p) s) all
 
-  (* Weighted water-filling fixpoint (Algorithm 1) over a residual
-     pool: sort the views by saturation ratio [cap/weight] and
-     binary-search the clipping frontier over prefix sums of caps and
-     weights (the monotone-threshold argument of {!Mwct_core.Wdeq},
-     DESIGN.md §6.1). [r]/[w] are the pool's residual capacity and
-     weight. *)
-  let frontier_shares r w (pool : view list) : (int * F.t) list =
-    let arr = Array.of_list pool in
-    Array.sort
-      (fun a b ->
-        let c = F.compare (F.mul a.cap b.weight) (F.mul b.cap a.weight) in
-        if c <> 0 then c else Stdlib.compare a.id b.id)
-      arr;
-    let m = Array.length arr in
-    let pd = Array.make (m + 1) F.zero and pw = Array.make (m + 1) F.zero in
-    for k = 0 to m - 1 do
-      pd.(k + 1) <- F.add pd.(k) arr.(k).cap;
-      pw.(k + 1) <- F.add pw.(k) arr.(k).weight
-    done;
-    let sat_ok k =
-      k = m
-      ||
-      let r' = F.sub r pd.(k) and w' = F.sub w pw.(k) in
-      F.sign w' <= 0 || F.compare (F.mul arr.(k).cap w') (F.mul arr.(k).weight r') >= 0
-    in
-    let lo = ref 0 and hi = ref m in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if sat_ok mid then hi := mid else lo := mid + 1
-    done;
-    let ksat = !lo in
-    let r' = F.sub r pd.(ksat) and w' = F.sub w pw.(ksat) in
-    let positive_w = F.sign w' > 0 in
-    List.init m (fun k ->
-        let v = arr.(k) in
-        ( v.id,
-          if k < ksat then v.cap
-          else if positive_w then F.div (F.mul v.weight r') w'
-          else F.zero ))
-
-  (* Adaptive WDEQ shares: on real view sets the clipping fixpoint
-     almost always settles within a round or two, and a plain
-     List.partition round is cheaper than a fresh sort — so run the
-     iterative fixpoint with a small round budget and fall back to the
-     sorted frontier (worst-case O(n log n) instead of the fixpoint's
-     O(n²)) only if clipping cascades. Both paths compute the same
-     fixpoint. *)
-  let wdeq_shares capacity (views : view list) : (int * F.t) list =
-    let rec go budget unsat saturated r w =
-      if budget = 0 then List.rev_append saturated (frontier_shares r w unsat)
-      else begin
-        let violating, rest =
-          List.partition (fun v -> F.compare (F.mul v.cap w) (F.mul v.weight r) < 0) unsat
-        in
-        match violating with
-        | [] ->
-          List.rev_append saturated
-            (List.map
-               (fun v -> (v.id, if F.sign w > 0 then F.div (F.mul v.weight r) w else F.zero))
-               rest)
-        | _ ->
-          let r' = List.fold_left (fun acc v -> F.sub acc v.cap) r violating in
-          let w' = List.fold_left (fun acc v -> F.sub acc v.weight) w violating in
-          go (budget - 1) rest
-            (List.rev_append (List.map (fun v -> (v.id, v.cap)) violating) saturated)
-            r' w'
-      end
-    in
-    let w0 = List.fold_left (fun acc v -> F.add acc v.weight) F.zero views in
-    go 2 views [] capacity w0
-
   (** [shares policy ~capacity views] — the allocation for this
       instant. Always returns every alive id exactly once, with
-      non-negative shares summing to at most [capacity]. *)
+      non-negative shares summing to at most [capacity]. [Wdeq]/[Deq]
+      are the share kernel's one-shot ({!Mwct_core.Wdeq.Make.kinetic_shares}),
+      which reshares the views in ascending id. *)
   let shares (policy : t) ~(capacity : F.t) (views : view list) : (int * F.t) list =
     match views with
     | [] -> []
     | _ -> (
       match policy with
-      | Wdeq -> wdeq_shares capacity views
-      | Deq ->
-        let unw = List.map (fun v -> { v with weight = F.one }) views in
-        wdeq_shares capacity unw
+      | Wdeq -> W.kinetic_shares ~p:capacity (List.map (fun v -> (v.id, v.weight, v.cap)) views)
+      | Deq -> W.kinetic_shares ~p:capacity (List.map (fun v -> (v.id, F.one, v.cap)) views)
       | Equi ->
         (* Plain 1/n share clipped to the cap; surplus is wasted (the
            point of comparing against DEQ). *)
@@ -146,438 +76,26 @@ module Make (F : Mwct_field.Field.S) = struct
     shares p ~capacity
       (List.map (fun (v : En.view) -> { id = v.En.id; weight = v.En.weight; cap = v.En.cap }) views)
 
-  (** Incremental (kinetic) WDEQ/DEQ: the saturation-ratio frontier
-      maintained across events instead of rebuilt per reshare.
-
-      {!wdeq_shares} is two [List.partition] rounds in id order plus —
-      only when clipping cascades — a frontier over the residual pool
-      sorted by the saturation ratio [cap/weight]. The partitions are
-      cheap linear sweeps, but the fallback sort is the O(n log n) term
-      paid on every reshare. Here the ratio order is {e kinetic} state:
-      a slot-indexed sorted array updated by binary-search
-      insert/remove as tasks arrive and leave (O(n) blit per event),
-      so a reshare is pure linear sweeps — the frontier order is read
-      off the maintained array (the comparator is a strict total order,
-      ids breaking ties, so the maintained order restricted to any
-      subset {e is} the fresh sort {!frontier_shares} would compute).
-
-      Bit-identity with {!wdeq_shares} is the contract: same partition
-      predicates in the same id order, the same sequential residual
-      folds, the same fresh prefix sums and binary-searched clipping
-      frontier — verified term by term by the differential tests. *)
-  module Incremental = struct
-    type state = {
-      use_weights : bool;  (** [false] maps every weight to [F.one] (DEQ) *)
-      (* slot-indexed task attributes, mirroring the engine's columns *)
-      mutable w : F.t array;
-      mutable d : F.t array;
-      mutable ids : int array;
-      (* the kinetic frontier: alive slots sorted by [d/w] ratio, id tie-break *)
-      mutable rank : int array;
-      mutable n : int;
-      (* reshare scratch (no allocation per call once grown) *)
-      mutable status : int array;  (* 0 unsaturated, 1 round-1 clip, 2 round-2 clip *)
-      mutable rest2 : int array;  (* residual pool in rank order *)
-      mutable pd : F.t array;  (* prefix caps over [rest2] *)
-      mutable pw : F.t array;  (* prefix weights over [rest2] *)
+  (* A fresh kernel state (states are per-engine) wrapped as the
+     engine's kinetic interface. *)
+  let kinetic ~use_weights : En.kinetic =
+    let st = W.Incremental.create ~use_weights () in
+    {
+      En.k_add = (fun ~slot ~id ~weight ~cap -> W.Incremental.add st ~slot ~id ~weight ~cap);
+      En.k_remove = (fun ~slot -> W.Incremental.remove st ~slot);
+      En.k_shares =
+        (fun ~capacity ~n ~by_id ~share ~order ->
+          W.Incremental.shares_into st ~capacity ~n ~by_id ~share ~order);
     }
 
-    let create ~use_weights () =
-      let n = 64 in
-      {
-        use_weights;
-        w = Array.make n F.zero;
-        d = Array.make n F.zero;
-        ids = Array.make n 0;
-        rank = Array.make n 0;
-        n = 0;
-        status = Array.make n 0;
-        rest2 = Array.make n 0;
-        pd = Array.make (n + 1) F.zero;
-        pw = Array.make (n + 1) F.zero;
-      }
-
-    let ensure st slot =
-      let len = Array.length st.w in
-      if slot >= len then begin
-        let m = Stdlib.max (2 * len) (slot + 1) in
-        let g z a = let b = Array.make m z in Array.blit a 0 b 0 len; b in
-        st.w <- g F.zero st.w;
-        st.d <- g F.zero st.d;
-        st.ids <- g 0 st.ids;
-        st.rank <- g 0 st.rank;
-        st.status <- g 0 st.status;
-        st.rest2 <- g 0 st.rest2;
-        st.pd <- (let b = Array.make (m + 1) F.zero in Array.blit st.pd 0 b 0 (len + 1); b);
-        st.pw <- (let b = Array.make (m + 1) F.zero in Array.blit st.pw 0 b 0 (len + 1); b)
-      end
-
-    (* The frontier order: strict total (ids are unique while alive),
-       exactly {!frontier_shares}'s comparator. On the float field the
-       same comparison runs unboxed ([F.compare] is [Float.compare]). *)
-    let cmp_generic st a b =
-      let c = F.compare (F.mul st.d.(a) st.w.(b)) (F.mul st.d.(b) st.w.(a)) in
-      if c <> 0 then c else Stdlib.compare st.ids.(a) st.ids.(b)
-
-    let cmp_float : (state -> int -> int -> int) option =
-      match F.witness with
-      | Mwct_field.Field.Any -> None
-      | Mwct_field.Field.Float ->
-        Some
-          (fun st a b ->
-            let c = Float.compare (st.d.(a) *. st.w.(b)) (st.d.(b) *. st.w.(a)) in
-            if c <> 0 then c else Stdlib.compare st.ids.(a) st.ids.(b))
-
-    let cmp st a b = match cmp_float with Some f -> f st a b | None -> cmp_generic st a b
-
-    let add st ~slot ~id ~weight ~cap =
-      ensure st slot;
-      st.w.(slot) <- (if st.use_weights then weight else F.one);
-      st.d.(slot) <- cap;
-      st.ids.(slot) <- id;
-      let lo = ref 0 and hi = ref st.n in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if cmp st st.rank.(mid) slot < 0 then lo := mid + 1 else hi := mid
-      done;
-      let pos = !lo in
-      Array.blit st.rank pos st.rank (pos + 1) (st.n - pos);
-      st.rank.(pos) <- slot;
-      st.n <- st.n + 1
-
-    let remove st ~slot =
-      let lo = ref 0 and hi = ref (st.n - 1) in
-      let pos = ref (-1) in
-      while !pos < 0 && !lo <= !hi do
-        let mid = (!lo + !hi) / 2 in
-        let c = cmp st st.rank.(mid) slot in
-        if c = 0 then pos := mid else if c < 0 then lo := mid + 1 else hi := mid - 1
-      done;
-      let pos = !pos in
-      if pos >= 0 then begin
-        Array.blit st.rank (pos + 1) st.rank pos (st.n - 1 - pos);
-        st.n <- st.n - 1
-      end
-
-    (* Replicates [wdeq_shares capacity views] with [views] the [n]
-       slots of [by_id] in ascending-id order: fills [share] (slot-
-       indexed) and [order] (output order — clipped round 1 in id
-       order, then clipped round 2 in id order, then the frontier pool
-       in ratio order), exactly the list the adaptive kernel returns. *)
-    let generic_shares_into st ~capacity ~n ~(by_id : int array) ~(share : F.t array)
-        ~(order : int array) =
-      if n > 0 then begin
-        let w0 = ref F.zero in
-        for i = 0 to n - 1 do
-          w0 := F.add !w0 st.w.(by_id.(i))
-        done;
-        let w0 = !w0 in
-        (* round 1: who clips at the fair share r0/w0? *)
-        let nv1 = ref 0 in
-        for i = 0 to n - 1 do
-          let s = by_id.(i) in
-          if F.compare (F.mul st.d.(s) w0) (F.mul st.w.(s) capacity) < 0 then begin
-            st.status.(s) <- 1;
-            incr nv1
-          end
-          else st.status.(s) <- 0
-        done;
-        if !nv1 = 0 then begin
-          (* nobody clips: plain weighted equipartition, id order *)
-          let pos = F.sign w0 > 0 in
-          for i = 0 to n - 1 do
-            let s = by_id.(i) in
-            order.(i) <- s;
-            share.(s) <- (if pos then F.div (F.mul st.w.(s) capacity) w0 else F.zero)
-          done
-        end
-        else begin
-          let r1 = ref capacity and w1 = ref w0 in
-          for i = 0 to n - 1 do
-            let s = by_id.(i) in
-            if st.status.(s) = 1 then begin
-              r1 := F.sub !r1 st.d.(s);
-              w1 := F.sub !w1 st.w.(s)
-            end
-          done;
-          let r1 = !r1 and w1 = !w1 in
-          (* round 2 over the survivors *)
-          let nv2 = ref 0 in
-          for i = 0 to n - 1 do
-            let s = by_id.(i) in
-            if st.status.(s) = 0 && F.compare (F.mul st.d.(s) w1) (F.mul st.w.(s) r1) < 0 then begin
-              st.status.(s) <- 2;
-              incr nv2
-            end
-          done;
-          let j = ref 0 in
-          for i = 0 to n - 1 do
-            let s = by_id.(i) in
-            if st.status.(s) = 1 then begin
-              order.(!j) <- s;
-              incr j;
-              share.(s) <- st.d.(s)
-            end
-          done;
-          if !nv2 = 0 then begin
-            (* round 2 settles: survivors share the residual, id order *)
-            let pos = F.sign w1 > 0 in
-            for i = 0 to n - 1 do
-              let s = by_id.(i) in
-              if st.status.(s) = 0 then begin
-                order.(!j) <- s;
-                incr j;
-                share.(s) <- (if pos then F.div (F.mul st.w.(s) r1) w1 else F.zero)
-              end
-            done
-          end
-          else begin
-            (* cascade: clip round 2 (id order), frontier on the rest *)
-            let r2 = ref r1 and w2 = ref w1 in
-            for i = 0 to n - 1 do
-              let s = by_id.(i) in
-              if st.status.(s) = 2 then begin
-                r2 := F.sub !r2 st.d.(s);
-                w2 := F.sub !w2 st.w.(s)
-              end
-            done;
-            let r2 = !r2 and w2 = !w2 in
-            for i = 0 to n - 1 do
-              let s = by_id.(i) in
-              if st.status.(s) = 2 then begin
-                order.(!j) <- s;
-                incr j;
-                share.(s) <- st.d.(s)
-              end
-            done;
-            (* the residual pool in ratio order, read off the kinetic
-               array instead of sorted afresh *)
-            let m = ref 0 in
-            for k = 0 to st.n - 1 do
-              let s = st.rank.(k) in
-              if st.status.(s) = 0 then begin
-                st.rest2.(!m) <- s;
-                incr m
-              end
-            done;
-            let m = !m in
-            st.pd.(0) <- F.zero;
-            st.pw.(0) <- F.zero;
-            for k = 0 to m - 1 do
-              let s = st.rest2.(k) in
-              st.pd.(k + 1) <- F.add st.pd.(k) st.d.(s);
-              st.pw.(k + 1) <- F.add st.pw.(k) st.w.(s)
-            done;
-            let sat_ok k =
-              k = m
-              ||
-              let s = st.rest2.(k) in
-              let r' = F.sub r2 st.pd.(k) and w' = F.sub w2 st.pw.(k) in
-              F.sign w' <= 0 || F.compare (F.mul st.d.(s) w') (F.mul st.w.(s) r') >= 0
-            in
-            let lo = ref 0 and hi = ref m in
-            while !lo < !hi do
-              let mid = (!lo + !hi) / 2 in
-              if sat_ok mid then hi := mid else lo := mid + 1
-            done;
-            let ksat = !lo in
-            let r' = F.sub r2 st.pd.(ksat) and w' = F.sub w2 st.pw.(ksat) in
-            let pos = F.sign w' > 0 in
-            for k = 0 to m - 1 do
-              let s = st.rest2.(k) in
-              order.(!j) <- s;
-              incr j;
-              share.(s) <-
-                (if k < ksat then st.d.(s)
-                 else if pos then F.div (F.mul st.w.(s) r') w'
-                 else F.zero)
-            done
-          end
-        end
-      end
-
-    (* Monomorphic replica of {!generic_shares_into} for [F.t = float],
-       recovered through the field witness (as the engine's advance
-       kernel is, DESIGN.md §12). Every column is then a flat float
-       array and every intermediate an unboxed float, so a reshare
-       allocates nothing; without flambda the generic kernel boxes each
-       [F.mul]/[F.compare] operand and each column read.
-
-       The arithmetic is the generic kernel's term for term: the same
-       predicates ([F.compare] is [Float.compare], [F.sign x > 0] is
-       [x > 0.]), the same id-order folds, the same prefix sums and
-       binary-searched frontier, [(w·r)/W] never reassociated. Sweeps
-       are fused only where the fold order is unchanged: round 1
-       accumulates the residual [r1]/[w1] while it classifies, round 2
-       accumulates [r2]/[w2] while it emits the round-1 clips, and the
-       residual pool's prefix sums are taken as it is gathered. The
-       frontier test is written inline — a [sat_ok] closure would box
-       the floats it captures. The differential tests pin this kernel
-       against the generic one bit for bit. *)
-    let float_shares_into :
-        (state -> F.t -> int -> int array -> F.t array -> int array -> unit) option =
-      match F.witness with
-      | Mwct_field.Field.Any -> None
-      | Mwct_field.Field.Float ->
-        Some
-          (fun st capacity n by_id share order ->
-            if n > 0 then begin
-              let w = st.w and d = st.d and status = st.status in
-              let w0 = ref 0. in
-              for i = 0 to n - 1 do
-                w0 := !w0 +. w.(by_id.(i))
-              done;
-              let w0 = !w0 in
-              (* round 1: who clips at the fair share r0/w0? *)
-              let nv1 = ref 0 and r1 = ref capacity and w1 = ref w0 in
-              for i = 0 to n - 1 do
-                let s = by_id.(i) in
-                if Float.compare (d.(s) *. w0) (w.(s) *. capacity) < 0 then begin
-                  status.(s) <- 1;
-                  incr nv1;
-                  r1 := !r1 -. d.(s);
-                  w1 := !w1 -. w.(s)
-                end
-                else status.(s) <- 0
-              done;
-              if !nv1 = 0 then begin
-                let pos = w0 > 0. in
-                for i = 0 to n - 1 do
-                  let s = by_id.(i) in
-                  order.(i) <- s;
-                  share.(s) <- (if pos then w.(s) *. capacity /. w0 else 0.)
-                done
-              end
-              else begin
-                let r1 = !r1 and w1 = !w1 in
-                (* round 2 over the survivors; round-1 clips go out first *)
-                let nv2 = ref 0 and r2 = ref r1 and w2 = ref w1 and j = ref 0 in
-                for i = 0 to n - 1 do
-                  let s = by_id.(i) in
-                  let st_s = status.(s) in
-                  if st_s = 1 then begin
-                    order.(!j) <- s;
-                    incr j;
-                    share.(s) <- d.(s)
-                  end
-                  else if st_s = 0 && Float.compare (d.(s) *. w1) (w.(s) *. r1) < 0 then begin
-                    status.(s) <- 2;
-                    incr nv2;
-                    r2 := !r2 -. d.(s);
-                    w2 := !w2 -. w.(s)
-                  end
-                done;
-                if !nv2 = 0 then begin
-                  let pos = w1 > 0. in
-                  for i = 0 to n - 1 do
-                    let s = by_id.(i) in
-                    if status.(s) = 0 then begin
-                      order.(!j) <- s;
-                      incr j;
-                      share.(s) <- (if pos then w.(s) *. r1 /. w1 else 0.)
-                    end
-                  done
-                end
-                else begin
-                  let r2 = !r2 and w2 = !w2 in
-                  for i = 0 to n - 1 do
-                    let s = by_id.(i) in
-                    if status.(s) = 2 then begin
-                      order.(!j) <- s;
-                      incr j;
-                      share.(s) <- d.(s)
-                    end
-                  done;
-                  (* the residual pool in ratio order with its prefix sums *)
-                  let rank = st.rank and rest2 = st.rest2 and pd = st.pd and pw = st.pw in
-                  let m = ref 0 in
-                  pd.(0) <- 0.;
-                  pw.(0) <- 0.;
-                  for k = 0 to st.n - 1 do
-                    let s = rank.(k) in
-                    if status.(s) = 0 then begin
-                      let m' = !m in
-                      rest2.(m') <- s;
-                      pd.(m' + 1) <- pd.(m') +. d.(s);
-                      pw.(m' + 1) <- pw.(m') +. w.(s);
-                      m := m' + 1
-                    end
-                  done;
-                  let m = !m in
-                  let lo = ref 0 and hi = ref m in
-                  while !lo < !hi do
-                    let mid = (!lo + !hi) / 2 in
-                    let s = rest2.(mid) in
-                    let w' = w2 -. pw.(mid) in
-                    if
-                      (not (w' > 0.))
-                      || Float.compare (d.(s) *. w') (w.(s) *. (r2 -. pd.(mid))) >= 0
-                    then hi := mid
-                    else lo := mid + 1
-                  done;
-                  let ksat = !lo in
-                  let r' = r2 -. pd.(ksat) and w' = w2 -. pw.(ksat) in
-                  let pos = w' > 0. in
-                  for k = 0 to m - 1 do
-                    let s = rest2.(k) in
-                    order.(!j) <- s;
-                    incr j;
-                    share.(s) <-
-                      (if k < ksat then d.(s) else if pos then w.(s) *. r' /. w' else 0.)
-                  done
-                end
-              end
-            end)
-
-    (* The one reshare entry point: the float kernel when the field is
-       float, the generic kernel (the exact-field path) otherwise. *)
-    let shares_into st ~capacity ~n ~by_id ~share ~order =
-      match float_shares_into with
-      | Some k -> k st capacity n by_id share order
-      | None -> generic_shares_into st ~capacity ~n ~by_id ~share ~order
-
-    let kinetic ~use_weights () : En.kinetic =
-      let st = create ~use_weights () in
-      {
-        En.k_add = (fun ~slot ~id ~weight ~cap -> add st ~slot ~id ~weight ~cap);
-        En.k_remove = (fun ~slot -> remove st ~slot);
-        En.k_shares =
-          (fun ~capacity ~n ~by_id ~share ~order -> shares_into st ~capacity ~n ~by_id ~share ~order);
-      }
-  end
-
   (** The incremental counterpart of {!engine_policy}, for the engine's
-      [?kinetic] slot — a fresh kinetic state per call (states are
-      per-engine). [None] for policies without an incremental rule
-      (they fall back to the list path). *)
+      [?kinetic] slot: the share kernel {!Mwct_core.Wdeq.Make.Incremental}
+      with a fresh state per call. Bit-identical to {!engine_policy} on
+      the ascending-id views the engine feeds. [None] for policies
+      without an incremental rule (they fall back to the list path). *)
   let engine_kinetic (p : t) : En.kinetic option =
     match p with
-    | Wdeq -> Some (Incremental.kinetic ~use_weights:true ())
-    | Deq -> Some (Incremental.kinetic ~use_weights:false ())
+    | Wdeq -> Some (kinetic ~use_weights:true)
+    | Deq -> Some (kinetic ~use_weights:false)
     | Equi | Priority_weight -> None
-
-  (** One-shot run of the incremental rule over a view list: builds a
-      fresh kinetic state (slot [i] = the [i]-th view), reshares once,
-      and returns the output list. Differentially testable against
-      [shares p ~capacity (views sorted by id)] — the engine always
-      feeds views in ascending-id order, so that is the order the
-      contract is stated in. [None] for policies without an incremental
-      rule. *)
-  let shares_incremental (p : t) ~(capacity : F.t) (views : view list) : (int * F.t) list option
-      =
-    match p with
-    | Equi | Priority_weight -> None
-    | Wdeq | Deq ->
-      let st = Incremental.create ~use_weights:(p = Wdeq) () in
-      List.iteri (fun i v -> Incremental.add st ~slot:i ~id:v.id ~weight:v.weight ~cap:v.cap) views;
-      let n = List.length views in
-      let by_id = Array.init n (fun i -> i) in
-      Array.sort (fun a b -> Stdlib.compare st.Incremental.ids.(a) st.Incremental.ids.(b)) by_id;
-      let share = Array.make (Stdlib.max n 1) F.zero in
-      let order = Array.make (Stdlib.max n 1) 0 in
-      Incremental.shares_into st ~capacity ~n ~by_id ~share ~order;
-      Some
-        (List.init n (fun k ->
-             let s = order.(k) in
-             (st.Incremental.ids.(s), share.(s))))
 end

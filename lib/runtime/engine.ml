@@ -32,6 +32,7 @@
 
 module Make (F : Mwct_field.Field.S) = struct
   module M = Metrics.Make (F)
+  module Inst = Mwct_core.Instance.Make (F)
 
   (** What the policy observes about one alive task — never the
       remaining volume (non-clairvoyance). *)
@@ -305,76 +306,11 @@ module Make (F : Mwct_field.Field.S) = struct
 
   (* ---------- speedup curves ---------- *)
 
-  (* lib/runtime deliberately does not depend on mwct_core (the engine
-     is the lower layer), so the concave curve evaluator is duplicated
-     here. [Mwct_core.Instance.Make.eval_curve] is the reference copy;
-     the cross-layer test pins the two to identical results. *)
-  let eval_curve (bx : F.t array) (by : F.t array) (a : F.t) : F.t =
-    let last = Array.length bx - 1 in
-    if F.sign a <= 0 then F.zero
-    else if F.compare a bx.(last) >= 0 then by.(last)
-    else begin
-      let j = ref 0 in
-      while F.compare a bx.(!j) > 0 do
-        incr j
-      done;
-      let j = !j in
-      let px = if j = 0 then F.zero else bx.(j - 1) in
-      let py = if j = 0 then F.zero else by.(j - 1) in
-      if F.compare a px = 0 then py
-      else F.add py (F.div (F.mul (F.sub a px) (F.sub by.(j) py)) (F.sub bx.(j) px))
-    end
-
   (* Progress rate of the task in [slot] at share [s]: the share itself
      under the linear law — the match keeps the linear arithmetic
      byte-identical to the pre-curve engine. *)
   let slot_rate t slot s =
-    match t.c_curve.(slot) with None -> s | Some (bx, by) -> eval_curve bx by s
-
-  (* Structural validation of a submitted curve, mirroring
-     [Mwct_core.Instance.Make.validate] (same error strings, prefixed
-     with the task id). *)
-  let check_curve id (bx : F.t array) (by : F.t array) : string option =
-    let n = Array.length bx in
-    let fail msg = Some (Printf.sprintf "task %d: %s" id msg) in
-    if n = 0 || Array.length by <> n then fail "speedup breakpoint arrays must match and be non-empty"
-    else begin
-      let bad = ref None in
-      let px = ref F.zero and py = ref F.zero in
-      let pslope = ref None in
-      (try
-         for j = 0 to n - 1 do
-           if F.sign bx.(j) <= 0 || F.sign by.(j) <= 0 then begin
-             bad := fail "speedup breakpoints must be positive";
-             raise Exit
-           end;
-           if F.compare !px bx.(j) >= 0 then begin
-             bad := fail "speedup allocations must be strictly increasing";
-             raise Exit
-           end;
-           if F.compare !py by.(j) > 0 then begin
-             bad := fail "speedup rate must be non-decreasing";
-             raise Exit
-           end;
-           let dx = F.sub bx.(j) !px and dy = F.sub by.(j) !py in
-           (match !pslope with
-           | None ->
-             if F.compare by.(j) bx.(j) > 0 then begin
-               bad := fail "speedup rate cannot exceed allocation";
-               raise Exit
-             end
-           | Some (pdx, pdy) ->
-             if F.compare (F.mul dy pdx) (F.mul pdy dx) > 0 then begin
-               bad := fail "speedup must be concave";
-               raise Exit
-             end);
-           pslope := Some (dx, dy);
-           px := bx.(j);
-           py := by.(j)
-         done
-       with Exit -> ());
-      !bad
-    end
+    match t.c_curve.(slot) with None -> s | Some (bx, by) -> Inst.eval_curve bx by s
 
   (* ---------- accessors ---------- *)
 
@@ -1149,9 +1085,9 @@ module Make (F : Mwct_field.Field.S) = struct
     else if F.sign cap <= 0 then Error (Invalid (Printf.sprintf "task %d: cap must be positive" id))
     else
       match
-        match speedup with None -> None | Some (bx, by) -> check_curve id bx by
+        match speedup with None -> None | Some (bx, by) -> Inst.check_curve bx by
       with
-      | Some msg -> Error (Invalid msg)
+      | Some msg -> Error (Invalid (Printf.sprintf "task %d: %s" id msg))
       | None -> begin
       match check_deps t id deps with
       | Error msg -> Error (Invalid msg)

@@ -1,9 +1,8 @@
 (* Allocation budget for the engine's float hot path, and differential
-   tests for the incremental (kinetic) WDEQ frontier: a persistent
-   [Policy.Incremental] state driven through random add/remove streams
-   with engine-style slot reuse must reproduce the one-shot list kernel
-   and the core reference fixpoint after every mutation, on both
-   fields. *)
+   tests for the WDEQ share kernel: a persistent [Wdeq.Incremental]
+   state driven through random add/remove streams with engine-style
+   slot reuse must reproduce a fresh one-shot of the same kernel and
+   the core reference fixpoint after every mutation, on both fields. *)
 
 module Rng = Mwct_util.Rng
 module FF = Mwct_field.Field.Float_field
@@ -63,7 +62,7 @@ let check_advance_budget eng =
 let test_advance_zero_alloc () = check_advance_budget (steady_engine ())
 
 (* An [Advance] that reshares must not allocate either: the float
-   kinetic kernel ([Policy.Incremental.shares_into]) and the engine's
+   kinetic kernel ([Wdeq.Incremental.shares_into]) and the engine's
    commit sweep run over flat float columns. Toggling the capacity
    between two budgets dirties the share cache before every advance,
    at n = 1000 alive tasks with caps spread wide enough that every
@@ -132,18 +131,19 @@ let test_forked_advance_zero_alloc () =
 module DH (F : Mwct_field.Field.S) = struct
   module P = Mwct_ncv.Policy.Make (F)
   module E = Mwct_core.Engine.Make (F)
+  module K = E.Wdeq.Incremental
 
   (* Drive one persistent [Incremental.state] through [rounds] rounds
      of random adds/removes (slots reused through a free list, exactly
      as the engine does) and check the reshare after every round:
-     - [shares_into] output (order and values) = [P.shares] on the same
-       views in ascending-id order, bit-for-bit ([F.equal]);
-     - the one-shot [shares_incremental] wrapper agrees likewise;
+     - [shares_into] output (order and values) = [P.shares] (a fresh
+       one-shot of the kernel) on the same views in ascending-id
+       order, bit-for-bit ([F.equal]);
      - values match the core [shares_reference] fixpoint up to [eq]
        (exact on rationals, 1e-9 on floats, as in test_kernels). *)
   let check_stream ~eq ~use_weights ~seed ~rounds =
     let pol = if use_weights then P.Wdeq else P.Deq in
-    let st = P.Incremental.create ~use_weights () in
+    let st = K.create ~use_weights () in
     let rng = Rng.create seed in
     let capacity = F.of_q (1 + Rng.int rng 16) 1 in
     let alive = ref [] (* (slot, view), unordered *)
@@ -162,7 +162,7 @@ module DH (F : Mwct_field.Field.S) = struct
          list recycles); [order] is position-indexed. *)
       let share = Array.make (Stdlib.max !used 1) F.zero in
       let order = Array.make (Stdlib.max n 1) 0 in
-      P.Incremental.shares_into st ~capacity ~n ~by_id ~share ~order;
+      K.shares_into st ~capacity ~n ~by_id ~share ~order;
       let id_of_slot s = (snd (List.find (fun (sl, _) -> sl = s) !alive)).P.id in
       let got = List.init n (fun k -> (id_of_slot order.(k), share.(order.(k)))) in
       let expected = P.shares pol ~capacity views in
@@ -171,9 +171,6 @@ module DH (F : Mwct_field.Field.S) = struct
         && List.for_all2 (fun (i, x) (j, y) -> i = j && F.equal x y) a b
       in
       if not (same_list got expected) then ok := false;
-      (match P.shares_incremental pol ~capacity views with
-      | Some l -> if not (same_list l expected) then ok := false
-      | None -> ok := false);
       let sorted = List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) in
       let reference =
         sorted
@@ -209,7 +206,7 @@ module DH (F : Mwct_field.Field.S) = struct
           }
         in
         incr next_id;
-        P.Incremental.add st ~slot ~id:v.P.id ~weight:v.P.weight ~cap:v.P.cap;
+        K.add st ~slot ~id:v.P.id ~weight:v.P.weight ~cap:v.P.cap;
         alive := (slot, v) :: !alive
       done;
       if Rng.int rng 3 = 0 then begin
@@ -218,7 +215,7 @@ module DH (F : Mwct_field.Field.S) = struct
         | l ->
           let k = Rng.int rng (List.length l) in
           let slot, _ = List.nth l k in
-          P.Incremental.remove st ~slot;
+          K.remove st ~slot;
           alive := List.filter (fun (s, _) -> s <> slot) l;
           free := slot :: !free
       end;
@@ -255,7 +252,7 @@ let prop_incremental_exact =
    capacities drawn small, so streams hit every branch: no clip, a
    settled round 2, and the cascade that reaches the binary-searched
    frontier. Returns whether all reshares agreed and how many cascaded. *)
-module PK = PF.Incremental
+module PK = Mwct_core.Engine.Float.Wdeq.Incremental
 
 let bits = Int64.bits_of_float
 

@@ -322,6 +322,33 @@ let test_transitive_variant_valid () =
         t.EF.Types.deps)
     inst.EF.Types.tasks
 
+(* Volumes near 2^24 and 2^26 behind a one-edge DAG: one ulp of the
+   remaining volume exceeds the 1e-9 completion tolerance, so the step
+   sized for task 0 can leave it a residue just above it. The frontier
+   loop used to raise "no completion at event (numeric drift)" here;
+   it now shares the batch loop's rule (the first-min task completes)
+   and must match the exact engine's schedule to float precision. *)
+let test_large_volume_residue () =
+  let spec =
+    parse
+      {|
+procs 4
+task 16777849 3/2 2
+task 50332233 2 3
+task 1 1 1
+deps 0
+|}
+  in
+  let s, _ = EF.Dag.wdeq (Support.finst spec) in
+  let q, _ = Support.EQ.Dag.wdeq (Support.qinst spec) in
+  Alcotest.(check (array int)) "order = exact" q.Support.EQ.Types.order s.EF.Types.order;
+  Array.iteri
+    (fun j c ->
+      let e = Support.Q.to_float q.Support.EQ.Types.finish.(j) in
+      Alcotest.(check bool) "finish = exact to float precision" true
+        (Float.abs (c -. e) <= 1e-12 *. e))
+    s.EF.Types.finish
+
 let () =
   let p = QCheck_alcotest.to_alcotest in
   Alcotest.run "dag"
@@ -351,6 +378,7 @@ let () =
           Alcotest.test_case "transitive variant valid" `Quick test_transitive_variant_valid;
           Alcotest.test_case "transitive prices remaining work" `Quick
             test_transitive_remaining_work;
+          Alcotest.test_case "large-volume residue completes" `Quick test_large_volume_residue;
           p prop_zero_edge_identity;
         ] );
     ]

@@ -93,7 +93,10 @@ let prop_five_task_condition =
        (QCheck2.Gen.int_bound 1_000_000))
     (fun deltas ->
       (* The condition is stated for generic instances; skip draws with
-         tied deltas (ties admit degenerate optimal orders). *)
+         tied deltas (ties admit degenerate optimal orders). Theorem 11's
+         class assumes δ_i > P/2 strictly, and the generator's lower
+         bound is P/2 = 1/2 itself; skip draws that hit it as well (the
+         boundary case is pinned below). *)
       let sorted = Array.copy deltas in
       Array.sort Q.compare sorted;
       let has_tie = ref false in
@@ -101,9 +104,24 @@ let prop_five_task_condition =
         if Q.equal sorted.(i) sorted.(i + 1) then has_tie := true
       done;
       !has_tie
+      || Q.equal sorted.(0) (Q.of_q 1 2)
       ||
       let _, orders = EQ.Homogeneous.optimal_orders deltas in
       List.for_all (EQ.Homogeneous.five_task_condition deltas) orders)
+
+(* The boundary the property above skips: a draw with δ = 1/2 = P/2,
+   outside Theorem 11's strict class δ_i > P/2. Every tie-free failure
+   of the condition among generator seeds 0..20000 (28 of them) has a
+   δ_i equal to 1/2; this is the first, seed 63 at den 4096. One of its
+   optimal orders violates the condition, so the condition does not
+   extend to the closed boundary. *)
+let test_five_task_condition_boundary () =
+  let deltas =
+    [| Q.of_q 3653 4096; Q.of_q 511 512; Q.of_q 1 2; Q.of_q 2229 4096; Q.of_q 3951 4096 |]
+  in
+  let _, orders = EQ.Homogeneous.optimal_orders deltas in
+  Alcotest.(check bool) "an optimal order violates the condition" true
+    (List.exists (fun o -> not (EQ.Homogeneous.five_task_condition deltas o)) orders)
 
 let prop_best_order_vs_lp =
   (* On this class the best greedy order is the true optimum
@@ -173,6 +191,8 @@ let () =
           Alcotest.test_case "2-task symmetry" `Quick test_two_task_both_orders_optimal;
           Alcotest.test_case "recurrence = greedy" `Quick test_to_instance_cross_check;
           Alcotest.test_case "organ-pipe patterns" `Quick test_organ_pipe_patterns;
+          Alcotest.test_case "n=5 condition fails at delta = P/2" `Quick
+            test_five_task_condition_boundary;
         ] );
       ( "properties",
         q

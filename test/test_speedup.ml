@@ -1,11 +1,11 @@
 (* Tests for the generalized rate model: concave piecewise-linear
    speedup curves and per-task machine capacities. Covers the curve
-   algebra (rate_at / inverse_rate / curve_rate), capacity folding in
+   algebra (rate_at / inverse_rate / eval_curve), capacity folding in
    Instance.of_spec, the linear fast-path seam (an identity curve is
    semantically the linear law), schedule validity of the generic WDEQ
    path on curved instances, the runtime engine against batch WDEQ,
-   journal round-trips of curved submissions, and the cross-layer pin
-   between the engine's local curve evaluator and the core reference. *)
+   journal round-trips of curved submissions, and the engine's
+   rejection of malformed curves through the core curve checker. *)
 
 open Test_support
 module EF = Support.EF
@@ -92,29 +92,6 @@ let test_capacity_folding () =
   let inst2 = Support.finst (curved_spec ~capacity:2 ()) in
   Alcotest.(check (float 1e-12)) "breakpoint-aligned capacity" 1.25
     (EF.Instance.max_rate inst2 0)
-
-(* ---------- cross-layer pin: engine curve evaluator = core reference ---------- *)
-
-let test_engine_eval_matches_core () =
-  let module EnF = Mwct_runtime.Engine.Make (Mwct_field.Field.Float_field) in
-  let inst = Support.finst (curved_spec ()) in
-  List.iter
-    (fun i ->
-      match EF.Instance.speedup_arrays inst i with
-      | None -> ()
-      | Some (bx, by) ->
-        let rec at a =
-          if a > 6.0 then ()
-          else begin
-            Alcotest.(check (float 0.))
-              (Printf.sprintf "task %d eval_curve(%g)" i a)
-              (EF.Instance.curve_rate (bx, by) a)
-              (EnF.eval_curve bx by a);
-            at (a +. 0.109375)
-          end
-        in
-        at 0.0)
-    [ 0; 1; 2 ]
 
 (* ---------- linear seam: identity curve = linear law ---------- *)
 
@@ -285,22 +262,43 @@ let test_engine_rejects_bad_curve () =
   let eng =
     En.create ~capacity:4.0 ~policy:(HF.Sim.P.engine_policy HF.Sim.P.Wdeq) ()
   in
-  let bad bx by =
+  (* the engine reports the core checker's reason, prefixed with the
+     task id — the same wording [Instance.validate] uses *)
+  let bad bx by reason =
+    let msg = "task 9: " ^ reason in
+    Alcotest.(check (option string)) "core checker" (Some reason) (EF.Instance.check_curve bx by);
     match En.submit eng ~speedup:(bx, by) ~id:9 ~volume:1.0 ~weight:1.0 ~cap:2.0 () with
-    | Error (En.Invalid _) -> ()
+    | Error (En.Invalid m) -> Alcotest.(check string) "engine message" msg m
     | Error e -> Alcotest.failf "wrong error: %s" (En.error_to_string e)
     | Ok () -> Alcotest.fail "invalid curve accepted"
   in
-  bad [| 2.0; 1.0 |] [| 1.0; 2.0 |];
-  (* non-monotone allocations *)
-  bad [| 1.0; 2.0 |] [| 1.0; 0.5 |];
-  (* decreasing rate *)
-  bad [| 1.0; 2.0 |] [| 0.5; 3.0 |];
-  (* non-concave *)
-  bad [| 1.0 |] [| 2.0 |];
-  (* superlinear *)
-  bad [| 0.0; 1.0 |] [| 0.0; 1.0 |]
-(* non-positive breakpoint *)
+  bad [| 2.0; 1.0 |] [| 1.0; 2.0 |] "speedup allocations must be strictly increasing";
+  bad [| 1.0; 2.0 |] [| 1.0; 0.5 |] "speedup rate must be non-decreasing";
+  bad [| 1.0; 2.0 |] [| 0.5; 3.0 |] "speedup must be concave";
+  bad [| 1.0 |] [| 2.0 |] "speedup rate cannot exceed allocation";
+  bad [| 0.0; 1.0 |] [| 0.0; 1.0 |] "speedup breakpoints must be positive";
+  bad [| 1.0; 2.0 |] [| 1.0 |] "speedup breakpoint arrays must match and be non-empty";
+  bad [||] [||] "speedup breakpoint arrays must match and be non-empty";
+  (* a curve ending off [delta] is a validate-only error: the checker
+     passes it, [validate] names it *)
+  let inst =
+    {
+      EF.Types.procs = 4.0;
+      tasks =
+        [|
+          {
+            EF.Types.volume = 1.0;
+            weight = 1.0;
+            delta = 2.0;
+            speedup = EF.Types.Curve { bx = [| 1.0 |]; by = [| 1.0 |] };
+            deps = [||];
+          };
+        |];
+    }
+  in
+  Alcotest.(check (option string)) "well-formed curve" None (EF.Instance.check_curve [| 1.0 |] [| 1.0 |]);
+  Alcotest.(check (result unit string)) "validate names the delta mismatch"
+    (Error "task 0: last speedup breakpoint must equal delta") (EF.Instance.validate inst)
 
 let () =
   let p = QCheck_alcotest.to_alcotest in
@@ -312,8 +310,6 @@ let () =
           Alcotest.test_case "inverse_rate" `Quick test_inverse_rate;
           Alcotest.test_case "max_rate and height" `Quick test_max_rate_and_height;
           Alcotest.test_case "capacity folding" `Quick test_capacity_folding;
-          Alcotest.test_case "engine evaluator = core reference" `Quick
-            test_engine_eval_matches_core;
         ] );
       ( "solvers",
         [
